@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -84,8 +83,28 @@ def machine_stamp(seed: int, env: dict) -> dict:
             "env": env}
 
 
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_memory(workload_cls, seed: int):
+    """Set up a fresh instance and run one round of its measured work with
+    :mod:`tracemalloc` on; returns the peak MiB the program held in Python
+    and numpy allocations meanwhile, and the instance (closed).
+
+    Not the process's peak RSS: that moved by a quarter between runs of one
+    seed, with how much freed heap the allocator had kept or returned."""
+    import tracemalloc
+    from repro.core.compile import get_kernel_cache
+
+    get_kernel_cache().clear()
+    gc.collect()
+    w = workload_cls(seed)
+    tracemalloc.start()
+    try:
+        w.setup()
+        w.measure(0, min_rounds=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        w.close()
+    return peak / 2**20, w
 
 
 def run_setup(workload_cls, seed: int, repeats: int):
@@ -106,14 +125,6 @@ def run_setup(workload_cls, seed: int, repeats: int):
         w.setup()
         times.append(time.perf_counter() - t0)
     return w, statistics.median(times)
-
-
-def timed_run(w, seconds: float, setup_s: float) -> dict:
-    metrics = w.measure(seconds)
-    metrics["setup_s"] = setup_s
-    metrics["peak_rss_mb"] = peak_rss_mb()
-    metrics["ok_frac"] = 1.0 - w.failed / max(1, w.attempted)
-    return metrics
 
 
 def traced_run(w, seed: int) -> dict:
@@ -189,10 +200,6 @@ def spec() -> dict:
 
 
 def run_one(args) -> int:
-    if not (ROOT / "src" / "repro").is_dir():
-        print(f"{ROOT / 'src' / 'repro'} not found: run from the "
-              f"repository root", file=sys.stderr)
-        return 2
     env = reset_environment()
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
@@ -212,12 +219,20 @@ def run_one(args) -> int:
         else:
             names = [m["name"] for m in bench["end_to_end"]]
             units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
-            measured = timed_run(w, args.seconds, setup_s)
+            measured = w.measure(args.seconds)
+            measured["setup_s"] = setup_s
         problems = w.check()
         measured["serve.batch_variant_seeds"] = getattr(
             w, "batch_variant_seeds", 0)
     finally:
         w.close()
+    attempted, failed = w.attempted, w.failed
+    rounds = measured.pop("rounds", None)
+    if not args.trace:
+        measured["peak_mem_mb"], mw = peak_memory(workload_cls, args.seed)
+        attempted += mw.attempted
+        failed += mw.failed
+        measured["ok_frac"] = 1.0 - failed / max(1, attempted)
     metrics = {n: {"value": float(measured.get(n, 0.0)), "unit": units[n]}
                for n in names}
     print(f"\n{w.name} seed {args.seed}:")
@@ -225,23 +240,31 @@ def run_one(args) -> int:
         print(f"  {n:<34} {metrics[n]['value']:>14.6g} {units[n]}")
     for p in problems:
         print("CHECK FAILED: " + p)
-    result = {"correct": not problems, "attempted": w.attempted,
-              "failed": w.failed, "metrics": metrics}
+    result = {"correct": not problems, "attempted": attempted,
+              "failed": failed, "metrics": metrics}
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"result-{w.name}-seed{args.seed}-trace{args.trace}.json"
-     ).write_text(json.dumps({"stamp": stamp, **result}, indent=1))
+     ).write_text(json.dumps({"stamp": stamp, **result, "rounds": rounds},
+                             indent=1))
     print(json.dumps(result))
     return 0 if not problems else 1
 
 
 def run_all(args) -> int:
-    """Every workload of BENCHMARK.json, each in its own process."""
+    """Every workload, each in its own process: those BENCHMARK.json gates,
+    then those that run by name only."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(HERE))
+    from workloads import WORKLOADS
+
+    why = {wl["name"]: wl["why"] for wl in spec()["workloads"]}
     status = 0
-    for wl in spec()["workloads"]:
+    for name in sorted(WORKLOADS, key=lambda n: n not in why):
         cmd = [sys.executable, str(Path(__file__).resolve()),
-               "--workload", wl["name"], "--seed", str(args.seed),
+               "--workload", name, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
-        print(f"== {wl['name']}: {wl['why']}", flush=True)
+        print(f"== {name}: {why.get(name, 'not gated by BENCHMARK.json')}",
+              flush=True)
         status = max(status, subprocess.run(cmd, cwd=ROOT).returncode)
     return status
 
@@ -254,10 +277,11 @@ def main(argv=None) -> int:
                     help="measured seconds (default: BENCHMARK.json)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    if not (ROOT / "BENCHMARK.json").is_file():
-        print("BENCHMARK.json not found: run from the repository root",
-              file=sys.stderr)
-        return 2
+    for need in (ROOT / "BENCHMARK.json", ROOT / "src" / "repro"):
+        if not need.exists():
+            print(f"{need} not found: run from the repository root",
+                  file=sys.stderr)
+            return 2
     if args.seconds is None:
         args.seconds = spec()["run_seconds"]
     if args.workload is None:
