@@ -240,8 +240,7 @@ def run_suite(scale: float = 1.0, repeats: int = 3, rounds: int = 3,
         "rounds": rounds,
         "cpu_count": cpu_count,
         "numpy_version": np.__version__,
-        "workers": {"num_workers": pool_meta.num_workers,
-                    "backend": pool_meta.backend},
+        "workers": {"num_workers": pool_meta.num_workers},
         "parallel_skipped": parallel_skipped,
         "strategies": results,
         "adaptive_assignments": dict(assignments),

@@ -538,7 +538,7 @@ def _pass_verify_plan(ctx: CompileContext) -> None:
     what the runtime actually executes -- the chunked, strategy-sharded
     :class:`~repro.runtime.plan.ExecutionPlan` the kernel lowers to
     (:mod:`repro.runtime.verify`): shard disjointness, determinism class,
-    buffer lifetimes, shared-memory release, gather bounds.  Runs after
+    buffer lifetimes, gather bounds.  Runs after
     ``vectorize`` so the plan carries the compiled program (whose ``out=``
     retirement FG008 scans) without compiling it twice.  Strict mode
     fails the compile on errors, exactly like ``analyze``.

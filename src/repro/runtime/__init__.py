@@ -9,8 +9,8 @@ forced via ``FEATGRAPH_AGG_STRATEGY``.  The reducer registry
 truth for every segmented reduction in the repository.
 
 The plan verifier (:mod:`repro.runtime.verify`, PR 8) statically proves
-shard disjointness, determinism class, buffer lifetimes, shared-memory
-release, and gather bounds (rules FG006-FG010) over every lowered plan,
+shard disjointness, determinism class, buffer lifetimes and gather
+bounds (rules FG006-FG010) over every lowered plan,
 and its sanitizer executor (``FEATGRAPH_SANITIZE=1``) cross-checks those
 verdicts against instrumented runs.
 """

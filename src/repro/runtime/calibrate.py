@@ -42,7 +42,7 @@ from repro.core.cost import ChunkShape, CostModel, StrategyCost, \
 from repro.runtime.plan import segment_info
 from repro.runtime.reducers import get_reducer
 from repro.runtime.strategies import STRATEGY_NAMES, make_strategy
-from repro.tensorir.runtime import WorkPool
+from repro.tensorir.runtime import WorkPool, default_pool
 
 __all__ = ["Workload", "workloads", "measure_combine", "fit_costs",
            "calibrate", "save_profile", "main"]
@@ -176,8 +176,7 @@ def calibrate(measure=None, pool: WorkPool | None = None,
     if measure is None:
         def measure(name, wl):
             return measure_combine(name, wl, pool=pool, repeats=repeats)
-    workers = pool.num_workers if pool is not None \
-        else min(16, os.cpu_count() or 1)
+    workers = (pool if pool is not None else default_pool()).num_workers
     costs = {}
     for name in STRATEGY_NAMES:
         if name == "parallel" and workers <= 1:

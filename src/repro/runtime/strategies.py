@@ -27,9 +27,7 @@ vectorization wins.  Three strategies implement one interface:
     accumulator is one vectorized step after all shards land.  Because
     shard boundaries never split a segment and each segment is reduced by
     the same ``reduceat`` primitive, results are **bit-identical across
-    worker counts** (and to the ``reduceat`` strategy).  With a
-    process-backed pool the partials land in shared memory, sidestepping
-    the GIL for the Python-level combine work.
+    worker counts** (and to the ``reduceat`` strategy).
 
 Parity contract (pinned by ``tests/runtime/test_strategies.py`` and the
 fuzzer's ``--exec-strategy`` stage): for order-insensitive reducers
@@ -181,20 +179,10 @@ class ParallelStrategy(AggregationStrategy):
 
     Every worker fills its own slice of one per-chunk partial buffer
     (per-worker partial accumulators), then the main thread folds the
-    whole buffer into ``acc`` in a single deterministic step.  A
-    process-backed pool (``FEATGRAPH_WORKERS_BACKEND=process``) stages the
-    messages and partials in shared memory and ships only shard bounds to
-    the workers.
+    whole buffer into ``acc`` in a single deterministic step.
     """
 
     name = "parallel"
-
-    #: FG009 contract (checked by :mod:`repro.runtime.verify`): every
-    #: SharedArray this strategy stages for a process-backed pool is
-    #: released in a ``finally`` path, so worker exceptions cannot leave
-    #: orphaned POSIX shm segments behind.  Subclasses that change the
-    #: staging must re-establish the guarantee or clear the flag.
-    shm_release_guaranteed = True
 
     def __init__(self, pool: WorkPool | None = None,
                  min_edges: int = _PARALLEL_MIN_EDGES):
@@ -215,15 +203,13 @@ class ParallelStrategy(AggregationStrategy):
             return
         cuts = self._shard_cuts(seg, min(workers, n_seg), n_edges)
         partial = np.empty((n_seg,) + msgs.shape[1:], dtype=msgs.dtype)
-        if getattr(pool, "backend", "thread") == "process":
-            self._combine_process(pool, cuts, seg, msgs, reducer, partial)
-        else:
-            def shard(bounds):
-                s0, s1 = bounds
-                end = seg.starts[s1] if s1 < n_seg else n_edges
-                partial[s0:s1] = reducer.ufunc.reduceat(
-                    msgs[:end], seg.starts[s0:s1], axis=0)
-            pool.map(shard, list(zip(cuts[:-1], cuts[1:])))
+
+        def shard(bounds):
+            s0, s1 = bounds
+            end = seg.starts[s1] if s1 < n_seg else n_edges
+            partial[s0:s1] = reducer.ufunc.reduceat(
+                msgs[:end], seg.starts[s0:s1], axis=0)
+        pool.map(shard, list(zip(cuts[:-1], cuts[1:])))
         rows = seg.seg_rows
         acc[rows] = reducer.ufunc(acc[rows], partial)
 
@@ -235,57 +221,6 @@ class ParallelStrategy(AggregationStrategy):
         cuts = np.searchsorted(seg.starts, targets, side="left")
         cuts = np.unique(np.concatenate(([0], cuts, [len(seg.starts)])))
         return cuts
-
-    @staticmethod
-    def _combine_process(pool, cuts, seg, msgs, reducer, partial):
-        """Shard combine through a process pool via shared memory.
-
-        Staged segments are released in the ``finally`` path -- a worker
-        exception surfacing through ``pool.map`` must not orphan the shm
-        blocks (they are POSIX objects the OS never reclaims); this is
-        the :attr:`shm_release_guaranteed` contract, regression-tested by
-        ``tests/runtime/test_shm_lifecycle.py``.
-        """
-        from repro.tensorir.runtime import SharedArray
-
-        msgs = np.ascontiguousarray(msgs)
-        shm_msgs = SharedArray.copy_of(msgs)
-        shm_part = None
-        try:
-            shm_part = SharedArray.empty(partial.shape, partial.dtype)
-            n_seg, n_edges = len(seg.starts), len(seg.rows)
-            payloads = []
-            for s0, s1 in zip(cuts[:-1], cuts[1:]):
-                end = int(seg.starts[s1]) if s1 < n_seg else n_edges
-                payloads.append((shm_msgs.spec, shm_part.spec, reducer.name,
-                                 seg.starts[s0:s1].tolist(), int(s0),
-                                 int(end)))
-            pool.map(_process_shard_reduce, payloads)
-            partial[...] = shm_part.array
-        finally:
-            if shm_part is not None:
-                shm_part.close()
-            shm_msgs.close()
-
-
-def _process_shard_reduce(payload):
-    """Worker-side shard reduction (module-level: must pickle)."""
-    from repro.runtime.reducers import get_reducer
-    from repro.tensorir.runtime import SharedArray
-
-    msgs_spec, part_spec, reducer_name, starts, s0, end = payload
-    shm_msgs = SharedArray.attach(msgs_spec)
-    shm_part = None
-    try:
-        shm_part = SharedArray.attach(part_spec)
-        starts = np.asarray(starts, dtype=np.int64)
-        ufunc = get_reducer(reducer_name).ufunc
-        shm_part.array[s0:s0 + len(starts)] = ufunc.reduceat(
-            shm_msgs.array[:end], starts, axis=0)
-    finally:
-        if shm_part is not None:
-            shm_part.close()
-        shm_msgs.close()
 
 
 def make_strategy(name: str, pool: WorkPool | None = None
@@ -341,8 +276,7 @@ def reset_cost_model_cache() -> None:
 
 
 def _pool_workers(pool: WorkPool | None) -> int:
-    return (pool.num_workers if pool is not None
-            else min(16, os.cpu_count() or 1))
+    return (pool if pool is not None else default_pool()).num_workers
 
 
 def _shape_from_degrees(degrees, width: int):

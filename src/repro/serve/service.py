@@ -269,12 +269,19 @@ class InferenceService:
         order (duplicate seeds within a request are fine).  ``deadline_s``
         is a relative deadline: if the batch forms after it the request
         fails with :class:`DeadlineExceeded`.  Raises :class:`Overloaded`
-        when ``max_queue_depth`` requests already wait, and
-        :class:`ServiceClosed` after shutdown began.
+        when ``max_queue_depth`` requests already wait,
+        :class:`ServiceClosed` after shutdown began, and ``ValueError``
+        for an id outside ``[0, num_vertices)``: checked before queueing,
+        so a bad id cannot fail the other requests of its batch.
         """
         seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
         if seeds.ndim != 1:
             raise ValueError("seeds must be a scalar or 1-D id array")
+        n = self.dataset.num_vertices
+        if len(seeds) and (seeds.min() < 0 or seeds.max() >= n):
+            bad = seeds[(seeds < 0) | (seeds >= n)]
+            raise ValueError(
+                f"seed ids must lie in [0, {n}); got {bad[:5].tolist()}")
         now = time.perf_counter()
         fut = ServeFuture(seeds, None if deadline_s is None
                           else now + float(deadline_s))

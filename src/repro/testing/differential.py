@@ -574,9 +574,8 @@ def run_sanitize_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     (:func:`repro.runtime.verify.sanitizing`), which statically verifies
     every plan (FG006-FG010) and then instruments the actual execution:
     shard write-sets are tracked against the disjointness proof, combine
-    results against the determinism classification, gather indices against
-    the bounds proof, and shared-memory segments against the release
-    guarantee.  Any disagreement is a harness bug -- either the verifier
+    results against the determinism classification, and gather indices
+    against the bounds proof.  Any disagreement is a harness bug -- either the verifier
     promised something the runtime does not deliver, or the instrumentation
     is wrong -- and fails the trial.
 

@@ -36,7 +36,7 @@ shrinking, so the minimal repro replays with the same assignment.
 With ``--sanitize``, every config additionally runs under the dynamic
 sanitizer executor (:func:`repro.testing.differential.run_sanitize_trial`):
 the plan verifier's static verdicts (FG006-FG010 -- shard disjointness,
-determinism class, gather bounds, shared-memory release) are cross-checked
+determinism class, gather bounds) are cross-checked
 against an instrumented run, per segment-reduction strategy for SpMM
 configs.  A disagreement means the static proof or the runtime is lying;
 either way the trial fails at stage ``sanitize:<strategy>``.

@@ -164,6 +164,18 @@ class TestStrategySelection:
         with WorkPool(4) as pool:
             assert select_strategy(degrees, 1, pool) == "parallel"
 
+    def test_default_worker_count_follows_default_pool(self, monkeypatch):
+        """Without an explicit pool the worker count is the shared
+        default pool's (which honours FEATGRAPH_NUM_WORKERS), not the
+        host's cpu count: a 1-worker default never selects parallel."""
+        from repro.tensorir import runtime
+        # same shape as above: enough work to shard, too many degrees
+        # to bucket (sum(1..1000) = 500500 < 512 * 1000)
+        degrees = np.arange(1, 1001)
+        with runtime.WorkPool(1) as pool:
+            monkeypatch.setattr(runtime, "_default", pool)
+            assert select_strategy(degrees, 1) == "reduceat"
+
     def test_empty_graph_selects_reduceat(self):
         assert select_strategy(np.zeros(10, np.int64), 8) == "reduceat"
 

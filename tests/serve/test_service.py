@@ -72,6 +72,28 @@ class TestCorrectness:
         assert np.array_equal(got[0], got[1])
         assert stats.batch_seeds == 2  # deduplicated block
 
+    @pytest.mark.parametrize("bad", [-1, 300, 10**6])
+    def test_bad_seed_rejected_at_submit(self, model, dataset, backend, bad):
+        """An out-of-range id raises at submit and never reaches the
+        batcher, so the valid requests around it in one window get the
+        logits they get when served alone."""
+        svc = _service(model, dataset, backend, batch_window_ms=50.0,
+                       start=False)
+        first = svc.submit(np.array([1, 2]))
+        with pytest.raises(ValueError, match="seed ids"):
+            svc.submit(np.array([4, bad]))
+        last = svc.submit(np.array([5]))
+        svc.start()
+        try:
+            got_first, got_last = first.result(10.0), last.result(10.0)
+        finally:
+            svc.close()
+        assert first.stats().batch_requests == 2
+        for ids, got in (([1, 2], got_first), ([5], got_last)):
+            with _service(model, dataset, backend) as alone:
+                want, _ = alone.infer(np.array(ids))
+            assert np.allclose(got, want, atol=1e-5)
+
     def test_empty_seed_request(self, model, dataset, backend):
         with _service(model, dataset, backend) as svc:
             got, stats = svc.infer(np.array([], dtype=np.int64))

@@ -318,9 +318,9 @@ class TestPipelineIntegration:
 class TestDiagnostics:
     def test_rule_catalogue_is_complete(self):
         # FG001-FG005: loop-nest analyses; FG006-FG010: the plan verifier
-        # (repro.runtime.verify)
+        # (repro.runtime.verify), with one retired id that is not reused
         assert set(RULES) == {"FG001", "FG002", "FG003", "FG004", "FG005",
-                              "FG006", "FG007", "FG008", "FG009", "FG010"}
+                              "FG006", "FG007", "FG008", "FG010"}
         for sev, desc in RULES.values():
             assert sev in (Severity.ERROR, Severity.WARNING, Severity.INFO)
             assert desc

@@ -121,9 +121,8 @@ class TestEnvAndStats:
     def test_stats_counts_dispatched_chunks(self):
         with WorkPool(4) as pool:
             s = pool.stats()
-            assert s == {"workers": 4, "backend": "thread",
-                         "chunks_dispatched": 0, "worker_chunks": {},
-                         "active": False}
+            assert s == {"workers": 4, "chunks_dispatched": 0,
+                         "worker_chunks": {}, "active": False}
             pool.parallel_for(100, lambda lo, hi: None, num_chunks=10)
             pool.map(lambda x: x, [1, 2, 3])
             s = pool.stats()
