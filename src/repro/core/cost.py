@@ -1,4 +1,4 @@
-"""Static analysis of UDF compute expressions + the aggregation cost model.
+"""Static analysis of UDF compute expressions.
 
 The machine models need two facts about a UDF that the templates extract
 from its expression tree:
@@ -8,43 +8,13 @@ from its expression tree:
   for MLP aggregation, ~2*d for a dot product);
 - :func:`reads_endpoint` -- whether the UDF gathers the src and/or dst
   feature rows (drives the modeled memory traffic).
-
-The second half of the module is the **segment-reduction cost model**: per
-strategy, predicted combine seconds for one chunk as an affine function of
-the chunk's shape statistics --
-
-- ``values`` = edges x feature width (every strategy moves these bytes),
-- ``segments`` = equal-destination runs (reduceat's per-segment inner-loop
-  dispatch; the final fold of the parallel combine),
-- ``distinct`` = distinct segment lengths (the bucketed strategy's
-  per-bucket Python dispatch),
-- a constant per-combine call overhead (one ``reduceat`` call; waking the
-  pool for ``parallel``).
-
-The coefficients are machine-specific: :mod:`repro.runtime.calibrate`
-measures them with microbenchmarks once and persists a versioned profile
-(keyed by CPU count + numpy version) that :func:`load_profile` validates
-and rejects when stale or corrupt -- selection then cold-starts on the
-hand-tuned heuristics in :mod:`repro.runtime.strategies`.  All
-coefficients are clamped non-negative at load, which makes every
-prediction monotone in the chunk statistics (wider features never lower a
-predicted cost).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
-from pathlib import Path
-
 from repro.tensorir import expr as E
 
-__all__ = [
-    "udf_flops_per_item", "reads_endpoint", "bytes_read_per_item",
-    "COST_PROFILE_ENV", "COST_PROFILE_VERSION", "ChunkShape",
-    "StrategyCost", "CostModel", "default_profile_path", "load_profile",
-]
+__all__ = ["udf_flops_per_item", "reads_endpoint", "bytes_read_per_item"]
 
 #: flop-equivalents per transcendental intrinsic call
 _CALL_COST = 4.0
@@ -147,167 +117,3 @@ def bytes_read_per_item(tensor: E.Tensor, var_name: str, elem_bytes: int = 4) ->
 
     walk(op.body, float(out_elems))
     return total * elem_bytes
-
-
-# ----------------------------------------------------------------------
-# the segment-reduction cost model
-# ----------------------------------------------------------------------
-
-#: environment override for the calibration-profile path
-COST_PROFILE_ENV = "FEATGRAPH_COST_PROFILE"
-
-#: persisted-profile schema version; bump on any coefficient-semantics
-#: change so stale profiles are rejected, not silently misread
-COST_PROFILE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ChunkShape:
-    """Shape statistics of one chunk's segmented reduction."""
-
-    n_edges: int      # edges in the chunk
-    n_segments: int   # equal-destination runs
-    n_distinct: int   # distinct segment lengths (degree-bucket count)
-    width: int        # feature elements per edge
-
-    @property
-    def values(self) -> int:
-        return self.n_edges * max(1, self.width)
-
-
-@dataclass(frozen=True)
-class StrategyCost:
-    """Affine combine-cost function of one strategy (seconds)."""
-
-    per_call: float = 0.0      # fixed overhead per combine invocation
-    per_value: float = 0.0     # per edge-value moved/reduced
-    per_segment: float = 0.0   # per destination segment
-    per_distinct: float = 0.0  # per distinct degree (bucket dispatch)
-
-    def seconds(self, shape: ChunkShape) -> float:
-        return (self.per_call
-                + self.per_value * shape.values
-                + self.per_segment * shape.n_segments
-                + self.per_distinct * shape.n_distinct)
-
-    def as_dict(self) -> dict:
-        return {"per_call": self.per_call, "per_value": self.per_value,
-                "per_segment": self.per_segment,
-                "per_distinct": self.per_distinct}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StrategyCost":
-        # clamp: a negative coefficient (noise-fit artifact) would break the
-        # monotonicity guarantee the selector and its tests rely on
-        return cls(**{k: max(0.0, float(data.get(k, 0.0)))
-                      for k in ("per_call", "per_value", "per_segment",
-                                "per_distinct")})
-
-
-class CostModel:
-    """Calibrated per-strategy cost functions + the argmin selector."""
-
-    def __init__(self, costs: dict, *, cpu_count: int | None = None,
-                 numpy_version: str | None = None):
-        self.costs = dict(costs)  # strategy name -> StrategyCost
-        self.cpu_count = cpu_count
-        self.numpy_version = numpy_version
-
-    def predict(self, strategy: str, shape: ChunkShape,
-                workers: int = 1) -> float:
-        """Predicted combine seconds for one chunk.
-
-        ``parallel`` amortizes the value/segment terms across ``workers``
-        (segment-aligned shards) but pays its full per-call pool-dispatch
-        overhead plus the deterministic final fold (one vectorized combine
-        over all segments); with one worker it degenerates to ``reduceat``
-        exactly like the strategy itself does.
-        """
-        cost = self.costs[strategy]
-        if strategy != "parallel":
-            return cost.seconds(shape)
-        if workers <= 1:
-            return self.predict("reduceat", shape) \
-                if "reduceat" in self.costs else cost.seconds(shape)
-        shard = (cost.per_value * shape.values
-                 + cost.per_segment * shape.n_segments) / workers
-        fold = cost.per_distinct * shape.n_segments * max(1, shape.width)
-        return cost.per_call + shard + fold
-
-    def select(self, shape: ChunkShape, workers: int = 1) -> str:
-        """The cheapest strategy for one chunk (deterministic tie-break by
-        registry order: reduceat < bucketed < parallel)."""
-        order = ("reduceat", "bucketed", "parallel")
-        best, best_cost = "reduceat", float("inf")
-        for name in order:
-            if name not in self.costs:
-                continue
-            if name == "parallel" and workers <= 1:
-                continue
-            if shape.n_edges == 0 or shape.n_segments == 0:
-                return "reduceat"
-            predicted = self.predict(name, shape, workers)
-            if predicted < best_cost:
-                best, best_cost = name, predicted
-        return best
-
-    def as_dict(self) -> dict:
-        return {
-            "version": COST_PROFILE_VERSION,
-            "cpu_count": self.cpu_count,
-            "numpy": self.numpy_version,
-            "coefficients": {name: c.as_dict()
-                             for name, c in sorted(self.costs.items())},
-        }
-
-
-def default_profile_path() -> Path:
-    """Where the calibration profile lives: ``FEATGRAPH_COST_PROFILE`` or
-    the user cache directory."""
-    override = os.environ.get(COST_PROFILE_ENV, "").strip()
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
-    return Path(base) / "featgraph" / \
-        f"cost_profile_v{COST_PROFILE_VERSION}.json"
-
-
-def load_profile(path: Path | str | None = None) -> CostModel | None:
-    """Load and validate a persisted calibration profile.
-
-    Returns ``None`` -- the cold-start signal -- when the file is missing,
-    unparseable, structurally wrong, schema-versioned differently, or
-    **stale**: recorded CPU count or numpy version no longer match this
-    machine (the coefficients would describe different hardware/BLAS
-    dispatch).  Callers fall back to the hand-tuned heuristics.
-    """
-    import numpy as np
-
-    path = Path(path) if path is not None else default_profile_path()
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    if data.get("version") != COST_PROFILE_VERSION:
-        return None
-    if data.get("cpu_count") != os.cpu_count():
-        return None
-    if data.get("numpy") != np.__version__:
-        return None
-    coeffs = data.get("coefficients")
-    if not isinstance(coeffs, dict) or not coeffs:
-        return None
-    costs = {}
-    for name, entry in coeffs.items():
-        if not isinstance(entry, dict):
-            return None
-        try:
-            costs[name] = StrategyCost.from_dict(entry)
-        except (TypeError, ValueError):
-            return None
-    if "reduceat" not in costs:
-        return None
-    return CostModel(costs, cpu_count=data.get("cpu_count"),
-                     numpy_version=data.get("numpy"))

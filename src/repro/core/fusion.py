@@ -67,13 +67,11 @@ from repro.core.compile import (PassTiming, compile_sddmm, compile_spmm,
                                 get_kernel_cache)
 from repro.core.spmm import resolve_aggregation
 from repro.runtime.engine import AggregateSink, Executor, ScatterSink
-from repro.runtime.histogram import chunk_bounds, chunk_shapes, degree_stats
+from repro.runtime.histogram import chunk_bounds, degree_stats
 from repro.runtime.plan import (EdgeTask, ExecutionPlan, GatherPlan, Stage,
                                 effective_chunk_edges)
 from repro.runtime.reducers import AGG_IDENTITY, get_reducer
-from repro.runtime.strategies import (make_strategy, resolve_request,
-                                      resolve_strategy,
-                                      select_chunk_strategies)
+from repro.runtime.strategies import resolve_strategy
 from repro.tensorir import expr as E
 from repro.tensorir import ir as I
 from repro.tensorir.analysis import AnalysisError, analyze_ir, strict_enabled
@@ -380,7 +378,7 @@ def plan_fusion(graph: KernelGraph, cache=None) -> FusionPlan:
     if len(defs) < 2 and not (len(defs) == 1 and defs[0].kind == "spmm"):
         # a lone spmm stage is a legal "chain": message + aggregate in one
         # sweep (the GCN/SAGE copy-u path) still buys the chunked fused
-        # executor and its per-chunk adaptive strategies
+        # executor
         raise FusionError(
             f"fusion needs at least two stages, got {len(defs)}")
     if graph.target != "cpu":
@@ -805,11 +803,8 @@ class FusedKernel:
         shared by every aggregating stage, with chain-edge values flowing
         between stages through the chunk context.
 
-        The aggregation request resolves exactly as on the staged SpMM
-        template: a concrete name pins one strategy for the sweep,
-        ``"adaptive"`` assigns per chunk from the chunk's shape statistics
-        (the adaptive executor applies **inside** fused plans), a name
-        sequence pins an explicit per-chunk cycle."""
+        The aggregation strategy resolves exactly as on the staged SpMM
+        template and serves every aggregating stage of the sweep."""
         csr = self.A.csr
         target = self.chunk_edges
         for st in self.plan.stages:
@@ -819,27 +814,8 @@ class FusedKernel:
                                                    st.prog))
         spmm_width = max((st.width for st in self.plan.stages
                           if st.kind == "spmm"), default=1)
-        bounds = chunk_bounds(csr, target)
-        mode, names = resolve_request(self.agg_strategy)
-        if mode in ("auto", "single"):
-            strategy = resolve_strategy(
-                names[0] if mode == "single" else None,
-                degree_stats(csr).degrees, spmm_width, pool)
-            plan_label = strategy.name
-            chunk_strats = None
-        else:
-            strategy = make_strategy("reduceat", pool=pool)
-            plan_label = "adaptive" if mode == "adaptive" else "mixed"
-            if mode == "adaptive":
-                assigned = select_chunk_strategies(
-                    chunk_shapes(csr, target, spmm_width), pool)
-            else:
-                assigned = [names[i % len(names)]
-                            for i in range(len(bounds))]
-            instances = {"reduceat": strategy}
-            chunk_strats = [
-                instances.setdefault(n, make_strategy(n, pool=pool))
-                for n in assigned]
+        strategy = resolve_strategy(self.agg_strategy, degree_stats(csr),
+                                    spmm_width, pool)
         keep = set(keep)
 
         stages = []
@@ -900,9 +876,8 @@ class FusedKernel:
 
         task = EdgeTask(
             gather=GatherPlan(csr.indices, csr.row_of_edge(), csr.edge_ids),
-            bounds=bounds,
-            stages=stages,
-            chunk_strategies=chunk_strats)
+            bounds=chunk_bounds(csr, target),
+            stages=stages)
         chain = "->".join(st.name for st in self.plan.stages)
         # Chain-read metadata for the plan verifier's FG008 def-before-use
         # check: which earlier-stage values each stage consumes through the
@@ -921,7 +896,7 @@ class FusedKernel:
                 programs[st.name] = st.prog
             chain_reads[st.name] = reads
         return ExecutionPlan(
-            [task], label=f"fused[{chain}]", strategy=plan_label,
+            [task], label=f"fused[{chain}]", strategy=strategy.name,
             finalize=lambda: self._finalize(vbufs),
             extras={"verify": {"dims": self._graph_dims(),
                                "chain_reads": chain_reads,
@@ -1150,10 +1125,10 @@ class FusedCopyUAggregate:
     feature row per edge and segment-reduce into destinations.  Staged
     execution runs it through ``GeneralizedSpMM`` with a separate degree
     normalization afterwards; this chain runs the same computation through
-    the fused executor, so the adaptive per-chunk strategies apply and the
-    mean divide folds into the plan's finalize.  The single stage reuses
-    :func:`~repro.core.builtins.copy_u_msg`'s ``udf_key``, so the chain
-    caches as a fused template and rebinds across sampled blocks.
+    the fused executor, so the mean divide folds into the plan's finalize.
+    The single stage reuses :func:`~repro.core.builtins.copy_u_msg`'s
+    ``udf_key``, so the chain caches as a fused template and rebinds
+    across sampled blocks.
     """
 
     def __init__(self, A, feat_shape, aggregation: str = "sum",

@@ -35,11 +35,9 @@ from repro.runtime.plan import (CHUNK_WORKSET_BYTES, MIN_CHUNK_EDGES,
                                 ChunkPolicy, EdgeTask, ExecutionPlan,
                                 GatherPlan, Stage, effective_chunk_edges,
                                 row_aligned_chunks)
-from repro.runtime.histogram import chunk_bounds, chunk_shapes, degree_stats
+from repro.runtime.histogram import chunk_bounds, degree_stats
 from repro.runtime.reducers import AGG_IDENTITY, AGG_UFUNC, resolve_reducer
-from repro.runtime.strategies import (make_strategy, resolve_request,
-                                      resolve_strategy,
-                                      select_chunk_strategies)
+from repro.runtime.strategies import resolve_strategy
 from repro.tensorir.runtime import ExecStats, WorkPool
 from repro.core.fds import FDS, FDSInfo, default_fds
 from repro.graph.partition import Partition1D, feature_tiles, partition_1d
@@ -185,10 +183,9 @@ class GeneralizedSpMM:
         if int(chunk_edges) < 1:
             raise ValueError("chunk_edges must be >= 1")
         self.chunk_edges = int(chunk_edges)
-        #: aggregation-strategy request for this kernel (None = auto/env):
-        #: a concrete name, ``"adaptive"`` (per-chunk cost-model
-        #: selection), or a sequence of names (explicit per-chunk cycle);
-        #: not part of the cache identity -- a bound kernel can be retargeted
+        #: aggregation-strategy request for this kernel (None = auto/env,
+        #: else one of STRATEGY_NAMES); not part of the cache identity --
+        #: a bound kernel can be retargeted
         self.agg_strategy = None
         self._partitions: list[Partition1D] | None = None
 
@@ -254,43 +251,19 @@ class GeneralizedSpMM:
         One :class:`~repro.runtime.plan.EdgeTask` per (feature tile, graph
         partition) pass, each row-aligned-chunked -- chunk rows are disjoint
         and sorted, so segmented reduction is vectorized and chunks are
-        race-free under cooperative threading.  The aggregation request is
-        resolved from ``self.agg_strategy`` (explicit) >
-        ``FEATGRAPH_AGG_STRATEGY`` (env) > the selector: a concrete name
-        pins one strategy for the whole kernel, ``"adaptive"`` assigns a
-        strategy **per chunk** from each chunk's shape statistics
-        (cost-model-driven when calibrated), and a sequence of names pins
-        an explicit per-chunk cycle.  Heterogeneous assignments land on
-        :attr:`~repro.runtime.plan.EdgeTask.chunk_strategies`; chunk
-        bounds, degree histograms, and per-chunk shapes come from the
-        fingerprint-keyed caches in :mod:`repro.runtime.histogram`.
+        race-free under cooperative threading.  One aggregation strategy
+        serves the whole kernel, resolved from ``self.agg_strategy``
+        (explicit) > ``FEATGRAPH_AGG_STRATEGY`` (env) > the selector over
+        the kernel's degree histogram.  Chunk bounds and the histogram
+        come from the fingerprint-keyed caches in
+        :mod:`repro.runtime.histogram`.
         """
         reducer, _ = resolve_reducer(self.aggregation)
         prog = self.vector_program() if compile_enabled() else None
-        mode, names = resolve_request(self.agg_strategy)
         target = effective_chunk_edges(self.chunk_edges, prog)
-        if mode in ("auto", "single"):
-            strategy = resolve_strategy(
-                names[0] if mode == "single" else None,
-                degree_stats(self.A.csr).degrees, self.feature_len, pool)
-            plan_label = strategy.name
-            per_chunk = None
-        else:
-            # heterogeneous plan: every chunk carries its own assignment,
-            # the sink default (reduceat) is never consulted
-            strategy = make_strategy("reduceat", pool=pool)
-            plan_label = "adaptive" if mode == "adaptive" else "mixed"
-            instances = {"reduceat": strategy}
-
-            def per_chunk(csr, n_chunks):
-                if mode == "adaptive":
-                    assigned = select_chunk_strategies(
-                        chunk_shapes(csr, target, self.feature_len), pool)
-                else:
-                    assigned = [names[i % len(names)]
-                                for i in range(n_chunks)]
-                return [instances.setdefault(n, make_strategy(n, pool=pool))
-                        for n in assigned]
+        strategy = resolve_strategy(self.agg_strategy,
+                                    degree_stats(self.A.csr),
+                                    self.feature_len, pool)
 
         axis0 = self.msg.op.axis[0].name
         tasks = []
@@ -311,18 +284,15 @@ class GeneralizedSpMM:
                                             axis_ranges={axis0: tile})
                     return msgs, 0
 
-                bounds = chunk_bounds(csr, target)
                 tasks.append(EdgeTask(
                     gather=GatherPlan(csr.indices, csr.row_of_edge(),
                                       csr.edge_ids),
-                    bounds=bounds,
+                    bounds=chunk_bounds(csr, target),
                     stages=[Stage(self.msg.name, evaluate, sink,
-                                  compiled=prog is not None)],
-                    chunk_strategies=(per_chunk(csr, len(bounds))
-                                      if per_chunk is not None else None)))
+                                  compiled=prog is not None)]))
         base = "sum" if self.aggregation == "mean" else self.aggregation
         return ExecutionPlan(
-            tasks, label=f"spmm[{self.msg.name}]", strategy=plan_label,
+            tasks, label=f"spmm[{self.msg.name}]", strategy=strategy.name,
             finalize=lambda: self._finalize(acc, base),
             # role extents + compiled program for the plan verifier
             # (:mod:`repro.runtime.verify`): FG010 checks gathers against

@@ -9,8 +9,7 @@ The message-passing ops implement the paper's Sec. II-A calculus:
 
 - :func:`copy_u_sum` -- generalized SpMM; its input gradient is another SpMM
   on the reverse graph.  Behind ``FEATGRAPH_FUSE`` the forward routes
-  through the backend's fused copy-u chain (one edge sweep, per-chunk
-  adaptive strategies apply inside it).
+  through the backend's fused copy-u chain (one edge sweep).
 - :func:`copy_u_mean` -- mean aggregation as one kernel: fused, the
   in-degree divide happens in the chain's finalize step instead of a
   separate elementwise pass over the output.

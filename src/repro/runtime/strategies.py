@@ -38,25 +38,17 @@ relative -- ``reduceat`` itself matches neither a sequential nor a
 pairwise Python recomputation bit-for-bit, so exact equality across
 differently-vectorized sums is not a meaningful target.
 
-:func:`select_strategy` picks a strategy from the degree histogram and
-feature width; ``FEATGRAPH_AGG_STRATEGY`` overrides it globally.
-
-Selection is **cost-model-driven when calibrated**: if
-:func:`repro.core.cost.load_profile` finds a valid machine profile
-(written once by ``python -m repro.runtime.calibrate``), both
-:func:`select_strategy` and the per-chunk
-:func:`select_chunk_strategies` rank strategies by predicted combine
-seconds; without a profile they cold-start on the hand-tuned thresholds
-below.  The ``"adaptive"`` request (kernel ``agg_strategy`` or the env
-override) asks the lowering to assign a strategy **per chunk** from each
-chunk's own shape statistics -- power-law graphs mix hub regions where
-``bucketed`` wins with long-tail regions where ``reduceat`` is already
-optimal, and one whole-kernel choice forfeits one of the two.
+:func:`select_strategy` picks one strategy per kernel from the degree
+histogram, the feature width and the worker count (the paper's hybrid
+partitioning likewise routes rows by a degree threshold);
+``FEATGRAPH_AGG_STRATEGY`` or a kernel's ``agg_strategy`` pins one of
+:data:`STRATEGY_NAMES` instead.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +59,6 @@ from repro.tensorir.runtime import WorkPool, default_pool
 
 __all__ = [
     "AGG_STRATEGY_ENV",
-    "ADAPTIVE",
     "AggregationStrategy",
     "ReduceatStrategy",
     "DegreeBucketedStrategy",
@@ -75,23 +66,14 @@ __all__ = [
     "STRATEGY_NAMES",
     "make_strategy",
     "strategy_from_env",
-    "cost_model",
-    "reset_cost_model_cache",
     "select_strategy",
-    "select_chunk_strategies",
-    "resolve_request",
     "resolve_strategy",
 ]
 
-#: environment override: "reduceat" | "bucketed" | "parallel" |
-#: "adaptive" | "auto"
+#: environment override: "reduceat" | "bucketed" | "parallel" | "auto"
 AGG_STRATEGY_ENV = "FEATGRAPH_AGG_STRATEGY"
 
 STRATEGY_NAMES = ("reduceat", "bucketed", "parallel")
-
-#: the per-chunk request name -- not a concrete strategy: lowering expands
-#: it into per-chunk assignments (EdgeTask.chunk_strategies)
-ADAPTIVE = "adaptive"
 
 #: estimated ufunc work (edge-values) that must back each distinct degree
 #: for bucketing's per-bucket Python dispatch to pay for itself
@@ -239,66 +221,15 @@ def make_strategy(name: str, pool: WorkPool | None = None
 
 def strategy_from_env() -> str | None:
     """The ``FEATGRAPH_AGG_STRATEGY`` override, validated; None if unset
-    or ``auto``.  May return :data:`ADAPTIVE`."""
+    or ``auto``."""
     value = os.environ.get(AGG_STRATEGY_ENV, "").strip().lower()
     if value in ("", "auto"):
         return None
-    if value not in STRATEGY_NAMES and value != ADAPTIVE:
+    if value not in STRATEGY_NAMES:
         raise ValueError(
             f"{AGG_STRATEGY_ENV}={value!r}: expected one of "
-            f"{'/'.join(STRATEGY_NAMES)}, '{ADAPTIVE}' or 'auto'")
+            f"{'/'.join(STRATEGY_NAMES)} or 'auto'")
     return value
-
-
-#: process-wide cost-model cache: [loaded_flag, CostModel | None].  The
-#: profile is read from disk at most once per process; tests repoint
-#: ``FEATGRAPH_COST_PROFILE`` and call :func:`reset_cost_model_cache`.
-_COST_MODEL_CACHE: list = [False, None]
-
-
-def cost_model():
-    """The calibrated :class:`~repro.core.cost.CostModel`, or ``None`` on
-    cold start (no valid profile for this machine)."""
-    if not _COST_MODEL_CACHE[0]:
-        # lazy: repro.core.cost lives under the package that imports this
-        # module during its own init (core/__init__ -> spmm -> strategies)
-        from repro.core.cost import load_profile
-
-        _COST_MODEL_CACHE[1] = load_profile()
-        _COST_MODEL_CACHE[0] = True
-    return _COST_MODEL_CACHE[1]
-
-
-def reset_cost_model_cache() -> None:
-    """Forget the cached profile (tests; after re-calibration)."""
-    _COST_MODEL_CACHE[0] = False
-    _COST_MODEL_CACHE[1] = None
-
-
-def _pool_workers(pool: WorkPool | None) -> int:
-    return (pool if pool is not None else default_pool()).num_workers
-
-
-def _shape_from_degrees(degrees, width: int):
-    from repro.core.cost import ChunkShape
-
-    degrees = np.asarray(degrees)
-    nonzero = degrees[degrees > 0]
-    return ChunkShape(n_edges=int(nonzero.sum()),
-                      n_segments=int(len(nonzero)),
-                      n_distinct=int(len(np.unique(nonzero))),
-                      width=max(1, int(width)))
-
-
-def _heuristic_select(shape: ChunkShape, workers: int) -> str:
-    """The hand-tuned cold-start thresholds (pre-calibration behavior)."""
-    if shape.n_edges == 0:
-        return "reduceat"
-    if shape.values >= _BUCKET_WORK_PER_DEGREE * shape.n_distinct:
-        return "bucketed"
-    if workers > 1 and shape.values >= _PARALLEL_MIN_WORK:
-        return "parallel"
-    return "reduceat"
 
 
 def select_strategy(degrees: Sequence[int], width: int,
@@ -306,72 +237,24 @@ def select_strategy(degrees: Sequence[int], width: int,
     """Pick a strategy name from the degree histogram and feature width.
 
     ``degrees`` is the per-destination in-degree of the topology (or the
-    portion of it one pass covers).  With a calibrated profile on disk
-    the choice is the cost model's argmin over predicted combine seconds;
-    the cold-start heuristic estimates whether degree-bucketing's
+    portion of it one pass covers).  Degree-bucketing wins when its
     per-distinct-degree Python dispatch is amortized by the vectorized
     work it unlocks (``nnz * width`` edge-values across ``distinct``
-    buckets); failing that, large chunks shard across an available
-    multi-worker pool; everything else stays on ``reduceat``.
+    buckets); failing that, large kernels shard across an available
+    multi-worker pool (``pool``, else the default pool); everything else
+    stays on ``reduceat``.
     """
-    shape = _shape_from_degrees(degrees, width)
-    if shape.n_edges == 0:
+    degrees = np.asarray(degrees)
+    nonzero = degrees[degrees > 0]
+    if len(nonzero) == 0:
         return "reduceat"
-    workers = _pool_workers(pool)
-    model = cost_model()
-    if model is not None:
-        return model.select(shape, workers)
-    return _heuristic_select(shape, workers)
-
-
-def select_chunk_strategies(shapes: Sequence[ChunkShape],
-                            pool: WorkPool | None = None) -> list[str]:
-    """Per-chunk strategy names for a row-aligned chunking.
-
-    One name per :class:`~repro.core.cost.ChunkShape`, chosen by the
-    calibrated cost model when a profile is loaded, else by the same
-    cold-start thresholds as :func:`select_strategy` applied chunk-wise.
-    """
-    workers = _pool_workers(pool)
-    model = cost_model()
-    if model is not None:
-        return [model.select(s, workers) for s in shapes]
-    return [_heuristic_select(s, workers) for s in shapes]
-
-
-def resolve_request(requested) -> tuple[str, tuple | None]:
-    """Classify a kernel's aggregation request (explicit > env > auto).
-
-    Returns ``(mode, names)``:
-
-    - ``("auto", None)`` -- whole-kernel selection (the default);
-    - ``("single", (name,))`` -- one pinned concrete strategy;
-    - ``("adaptive", None)`` -- per-chunk cost-model selection;
-    - ``("map", names)`` -- an explicit per-chunk assignment cycle
-      (chunk ``i`` combines through ``names[i % len(names)]``; the
-      fuzzer's mixed-strategy trials pin plans this way).
-    """
-    if requested is None:
-        requested = strategy_from_env()
-    if requested is None:
-        return ("auto", None)
-    if isinstance(requested, str):
-        if requested == ADAPTIVE:
-            return ("adaptive", None)
-        if requested not in STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown aggregation strategy {requested!r} "
-                f"(known: {'/'.join(STRATEGY_NAMES)}/{ADAPTIVE})")
-        return ("single", (requested,))
-    names = tuple(requested)
-    if not names:
-        raise ValueError("strategy map must name at least one strategy")
-    for name in names:
-        if name not in STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown aggregation strategy {name!r} in map "
-                f"(known: {'/'.join(STRATEGY_NAMES)})")
-    return ("map", names)
+    values = int(nonzero.sum()) * max(1, int(width))
+    if values >= _BUCKET_WORK_PER_DEGREE * len(np.unique(nonzero)):
+        return "bucketed"
+    workers = (pool if pool is not None else default_pool()).num_workers
+    if workers > 1 and values >= _PARALLEL_MIN_WORK:
+        return "parallel"
+    return "reduceat"
 
 
 #: env-override strategy names already warned about (one warning per
@@ -383,29 +266,23 @@ def resolve_strategy(requested: str | None, degrees, width: int,
                      pool: WorkPool | None = None) -> AggregationStrategy:
     """Resolution order: explicit request > env override > auto-select.
 
+    ``requested`` (a kernel's ``agg_strategy``) is None or one of
+    :data:`STRATEGY_NAMES`; anything else raises :class:`ValueError`.
     When the env override forces a strategy the selector would not have
     picked for this workload, a :class:`UserWarning` is emitted once per
     process per strategy name -- a global override hitting hundreds of
     kernel lowerings must not repeat itself per kernel.
-
-    An :data:`ADAPTIVE` request degrades to auto-selection here: this
-    resolver serves lowerings that pin one concrete strategy for a whole
-    pass; per-chunk expansion happens in the plan lowering
-    (``spmm``/``fusion``) via :func:`resolve_request` +
-    :func:`select_chunk_strategies`.
     """
-    if requested == ADAPTIVE:
-        requested = None
+    if requested is not None and requested not in STRATEGY_NAMES:
+        raise ValueError(
+            f"unknown aggregation strategy {requested!r} "
+            f"(known: {'/'.join(STRATEGY_NAMES)})")
     env = None if requested else strategy_from_env()
-    if env == ADAPTIVE:
-        env = None
     name = requested or env or select_strategy(degrees, width, pool)
     if env is not None and env not in _ENV_OVERRIDE_WARNED:
         picked = select_strategy(degrees, width, pool)
         if picked != env:
             _ENV_OVERRIDE_WARNED.add(env)
-            import warnings
-
             warnings.warn(
                 f"{AGG_STRATEGY_ENV}={env!r} overrides the selector's "
                 f"choice ({picked!r} for this workload); further kernels "

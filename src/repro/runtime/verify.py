@@ -14,10 +14,7 @@ the plan layer the same static safety net:
     ``parallel`` strategy the shard cuts are additionally checked per
     chunk, symbolically from :func:`~repro.runtime.plan.segment_info`:
     cuts must cover the segment index space without overlap and must
-    never split a destination segment across workers.  Heterogeneous
-    plans (``EdgeTask.chunk_strategies``) are verified per chunk: the
-    assignment list must align with the bounds, and the cut checks run
-    for exactly the chunks whose *effective* strategy shards.
+    never split a destination segment across workers.
 
 ``FG007`` **determinism classification.**  Every (strategy, reducer)
     pair a plan aggregates through is labeled ``bit-identical`` /
@@ -187,18 +184,6 @@ def _aggregate_sinks(plan: ExecutionPlan):
                 yield ti, task, st, st.sink
 
 
-def _effective_strategies(task, sink):
-    """Yield ``(chunk_index, strategy)`` -- the strategy each chunk of
-    ``task`` actually combines through for ``sink``: the per-chunk
-    assignment on heterogeneous plans, else the sink default."""
-    assigned = task.chunk_strategies
-    for ci in range(len(list(task.bounds))):
-        s = None
-        if assigned is not None and ci < len(assigned):
-            s = assigned[ci]
-        yield ci, (s if s is not None else sink.strategy)
-
-
 # ----------------------------------------------------------------------
 # the static checks
 # ----------------------------------------------------------------------
@@ -287,17 +272,14 @@ def _check_row_alignment(ctx: _Ctx, ti: int, task) -> None:
                     "would combine the same accumulator row concurrently")
 
 
-def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy,
-                         chunks=None) -> None:
+def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy) -> None:
     """FG006: the parallel strategy's shard cuts, probed symbolically.
 
     For every chunk the real ``segment_info`` is derived from the gather
     (no UDF is evaluated) and ``ParallelStrategy._shard_cuts`` is run for
     several worker counts; the cuts must cover the segment index space
     exactly once and each cut's edge offset must land on a segment
-    boundary.  ``chunks`` restricts the probe to the chunk indices whose
-    effective strategy is ``strategy`` (heterogeneous plans); ``None``
-    probes every chunk.
+    boundary.
     """
     loc = f"task[{ti}]"
     dst = np.asarray(task.gather.dst)
@@ -307,8 +289,6 @@ def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy,
     if pool_workers and pool_workers > 1:
         probes.add(int(pool_workers))
     for ci, (c0, c1) in enumerate(task.bounds):
-        if chunks is not None and ci not in chunks:
-            continue
         seg = segment_info(dst[c0:c1])
         n_seg = len(seg.starts)
         n_edges = c1 - c0
@@ -336,41 +316,20 @@ def _check_parallel_cuts(ctx: _Ctx, ti: int, task, strategy,
                 break
 
 
-def _check_chunk_strategies(ctx: _Ctx, ti: int, task) -> None:
-    """FG006: a heterogeneous task's assignment list must align with its
-    chunk bounds -- a length mismatch means some chunk combines through
-    a strategy no static check ever classified."""
-    assigned = task.chunk_strategies
-    if assigned is None:
-        return
-    n_chunks = len(list(task.bounds))
-    if len(assigned) != n_chunks:
-        ctx.add("FG006", f"task[{ti}]",
-                f"per-chunk strategy list has {len(assigned)} entries for "
-                f"{n_chunks} chunks: assignments and bounds disagree, so "
-                "chunks beyond the shorter list would fall back silently")
-
-
 def _check_determinism(ctx: _Ctx) -> None:
-    """FG007: one classification per distinct (strategy, reducer) pair,
-    counting every effective per-chunk strategy of heterogeneous plans."""
+    """FG007: one classification per distinct (strategy, reducer) pair."""
     seen = set()
     for ti, task, st, sink in _aggregate_sinks(ctx.plan):
-        names = {strat.name
-                 for _, strat in _effective_strategies(task, sink)}
-        if not names:
-            names = {sink.strategy.name}
-        for name in sorted(names):
-            key = (name, sink.reducer.name)
-            if key in seen:
-                continue
-            seen.add(key)
-            label = classify_reduction(*key)
-            severity = (Severity.WARNING if label == NONDETERMINISTIC
-                        else Severity.INFO)
-            ctx.add("FG007", f"task[{ti}].{st.name}",
-                    f"reduction {sink.reducer.name} via strategy "
-                    f"{name}: {label}", severity=severity)
+        key = (sink.strategy.name, sink.reducer.name)
+        if key in seen:
+            continue
+        seen.add(key)
+        label = classify_reduction(*key)
+        severity = (Severity.WARNING if label == NONDETERMINISTIC
+                    else Severity.INFO)
+        ctx.add("FG007", f"task[{ti}].{st.name}",
+                f"reduction {sink.reducer.name} via strategy "
+                f"{sink.strategy.name}: {label}", severity=severity)
 
 
 _OUT_RE = re.compile(r"\bout=(\w+)")
@@ -483,21 +442,11 @@ def verify_plan(plan: ExecutionPlan) -> AnalysisReport:
         structured = _check_bounds_structure(ctx, ti, task)
         if structured:
             _check_row_alignment(ctx, ti, task)
-            _check_chunk_strategies(ctx, ti, task)
-            # cut checks run per chunk, against each chunk's *effective*
-            # strategy -- the per-chunk assignment on heterogeneous plans
             for st in task.stages:
-                sink = st.sink
-                if not isinstance(sink, AggregateSink):
-                    continue
-                sharded: dict[int, tuple] = {}
-                for ci, strat in _effective_strategies(task, sink):
-                    if isinstance(strat, ParallelStrategy):
-                        sharded.setdefault(id(strat), (strat, set()))
-                        sharded[id(strat)][1].add(ci)
-                for strat, chunks in sharded.values():
-                    _check_parallel_cuts(ctx, ti, task, strat, chunks)
-                break
+                if isinstance(st.sink, AggregateSink):
+                    if isinstance(st.sink.strategy, ParallelStrategy):
+                        _check_parallel_cuts(ctx, ti, task, st.sink.strategy)
+                    break
         _check_gather_bounds(ctx, ti, task)
     _check_determinism(ctx)
     _check_lifetimes(ctx)
@@ -601,11 +550,7 @@ class _Violations:
 
 
 class _AggregateProxy:
-    """Records and checks one task's aggregating stage at runtime.
-
-    The FG007 label is computed per combine call from the strategy the
-    chunk context carries -- on heterogeneous plans different chunks of
-    one stage legitimately earn different classifications."""
+    """Records and checks one task's aggregating stage at runtime."""
 
     def __init__(self, sink: AggregateSink, loc: str,
                  violations: _Violations):
@@ -636,15 +581,14 @@ class _AggregateProxy:
             self._seen[rows] = True
         # disjoint rows across concurrent chunks make the before/after
         # slices race-free even under a thread pool
-        strategy = ctx.strategy if getattr(ctx, "strategy", None) is not None \
-            else self.sink.strategy
         before = self.sink.acc[rows].copy() if rows.size else None
         ret = self.sink.apply(vals, ctx)
         if before is not None:
-            self._check_combine(vals, seg, rows, before, strategy)
+            self._check_combine(vals, seg, rows, before)
         return ret
 
-    def _check_combine(self, vals, seg, rows, before, strategy) -> None:
+    def _check_combine(self, vals, seg, rows, before) -> None:
+        strategy = self.sink.strategy
         label = classify_reduction(strategy.name, self.sink.reducer)
         reducer = self.sink.reducer
         oracle = reducer.ufunc(
@@ -716,8 +660,7 @@ def _instrumented(plan: ExecutionPlan, violations: _Violations
                 sink = _ScatterProxy(sink, loc, violations)
             stages.append(Stage(st.name, st.evaluate, sink, st.compiled))
         tasks.append(EdgeTask(task.gather, task.bounds, stages,
-                              task.needs_segments,
-                              chunk_strategies=task.chunk_strategies))
+                              task.needs_segments))
     return ExecutionPlan(tasks, label=plan.label, strategy=plan.strategy,
                          finalize=plan.finalize, extras=plan.extras)
 
@@ -809,26 +752,6 @@ def iter_suite(suite: str, pool=None):
         yield (f"softmax/fused/{strat}", strat,
                lambda s=strat: EdgeSoftmax(adj, num_heads=2, fused=True,
                                            agg_strategy=s))
-
-    # heterogeneous plans: cost-model-driven per-chunk selection, plus an
-    # explicit mixed per-chunk cycle; chunk_edges is small enough that the
-    # lint graph really lowers to multi-chunk assignments
-    copy_u = dgl_builtins.BUILTIN_MESSAGE_FUNCTIONS["copy_u"]
-    for hlabel, request in (("adaptive", "adaptive"),
-                            ("mixed", ("reduceat", "bucketed", "parallel"))):
-        for agg in ("sum", "max", "mean"):
-            def hthunk(req=request, a=agg):
-                k = make_spmm(adj, copy_u(*_msg_inputs("copy_u")), a,
-                              chunk_edges=16)
-                k.agg_strategy = req
-                return k
-            yield (f"spmm/copy_u/{agg}/{hlabel}", hlabel, hthunk)
-        yield (f"softmax/staged/{hlabel}", hlabel,
-               lambda req=request: EdgeSoftmax(adj, num_heads=2, fused=False,
-                                               agg_strategy=req))
-        yield (f"softmax/fused/{hlabel}", hlabel,
-               lambda req=request: EdgeSoftmax(adj, num_heads=2, fused=True,
-                                               agg_strategy=req))
 
 
 def lint(suite: str, *, verbose: bool, as_json: bool, workers: int,

@@ -285,18 +285,18 @@ class InferenceService:
         now = time.perf_counter()
         fut = ServeFuture(seeds, None if deadline_s is None
                           else now + float(deadline_s))
-        if len(seeds) == 0:
-            # nothing to infer; resolve immediately with a (0, C) result
-            fut._resolve(np.zeros((0, int(self._out_dim or 0)),
-                                  dtype=np.float32),
-                         ServeStats(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0,
-                                    float("nan")))
-            self._accepted += 1
-            self._served += 1
-            return fut
         with self._cond:
             if self._closing:
                 raise ServiceClosed("service is shut down")
+            if len(seeds) == 0:
+                # nothing to infer; resolve immediately with a (0, C) result
+                fut._resolve(np.zeros((0, int(self._out_dim or 0)),
+                                      dtype=np.float32),
+                             ServeStats(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0,
+                                        float("nan")))
+                self._accepted += 1
+                self._served += 1
+                return fut
             if len(self._pending) >= self.max_queue_depth:
                 self._rejected += 1
                 raise Overloaded(

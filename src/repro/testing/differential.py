@@ -426,13 +426,6 @@ def run_fused_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
 # execution-strategy oracle (every segment-reduction strategy, same config)
 # ----------------------------------------------------------------------
 
-#: per-chunk strategy maps the --exec-strategy oracle exercises; the
-#: runtime assigns entries cyclically over a plan's chunks, so every map
-#: yields a heterogeneous plan whenever the config chunks at all
-MIXED_STRATEGY_MAPS = (("reduceat", "parallel"),
-                       ("bucketed", "reduceat", "parallel"))
-
-
 def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
                        registry=None) -> TrialResult:
     """Differential oracle for the runtime's segment-reduction strategies.
@@ -448,16 +441,8 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
     ``reduceat`` primitive per shard, deterministic combine), and for
     order-insensitive reducers (max/min) ``bucketed`` must be too.
 
-    Heterogeneous plans run the same gauntlet: each map in
-    :data:`MIXED_STRATEGY_MAPS` is pinned as a per-chunk assignment and
-    checked against the oracle, with bit-parity to ``reduceat`` whenever
-    the map contains only order-preserving strategies (or the reducer is
-    order-insensitive); ``adaptive`` cost-model selection is checked
-    against the oracle too.
-
-    Failure stages are ``strategy:<name>``, ``strategy:mixed:<a+b+...>``,
-    ``strategy:adaptive`` or ``strategy:parity`` so the shrinker can pin
-    the offending strategy (or whole map) while minimizing.
+    Failure stages are ``strategy:<name>`` or ``strategy:parity`` so the
+    shrinker can pin the offending strategy while minimizing.
     """
     from repro.runtime.strategies import STRATEGY_NAMES
     from repro.tensorir.runtime import WorkPool
@@ -497,53 +482,6 @@ def run_strategy_trial(cfg: TrialConfig, atol: float = DEFAULT_ATOL,
                     message=f"strategy {name} vs edge-loop oracle: max abs "
                             f"diff {worst:.3g} > atol {atol:g}")
             outputs[name] = got
-
-        # heterogeneous plans: explicit per-chunk maps, then adaptive
-        for names in MIXED_STRATEGY_MAPS:
-            label = "+".join(names)
-            scfg = replace(cfg, options={**cfg.options,
-                                         "agg_strategy": list(names)})
-            try:
-                kernel = _build_kernel(scfg, csr, instance)
-                got = kernel.run(
-                    bindings, pool=pool if "parallel" in names else None)
-            except Exception as exc:  # noqa: BLE001
-                return TrialResult(False, stage=f"strategy:mixed:{label}",
-                                   message=f"{type(exc).__name__}: {exc}")
-            if not np.allclose(got, ref, atol=atol, rtol=atol,
-                               equal_nan=True):
-                worst = (float(np.nanmax(np.abs(got - ref)))
-                         if got.size else 0.0)
-                return TrialResult(
-                    False, stage=f"strategy:mixed:{label}",
-                    max_abs_diff=worst,
-                    message=f"mixed map {label} vs edge-loop oracle: max "
-                            f"abs diff {worst:.3g} > atol {atol:g}")
-            order_preserving = all(n in ("reduceat", "parallel")
-                                   for n in names)
-            if (order_preserving or cfg.aggregation in ("max", "min")) and \
-                    not np.array_equal(got, outputs["reduceat"]):
-                worst = float(np.max(np.abs(got - outputs["reduceat"])))
-                return TrialResult(
-                    False, stage="strategy:parity", max_abs_diff=worst,
-                    message=f"mixed map {label} not bit-identical to "
-                            f"reduceat (max abs diff {worst:.3g})")
-
-        scfg = replace(cfg, options={**cfg.options,
-                                     "agg_strategy": "adaptive"})
-        try:
-            kernel = _build_kernel(scfg, csr, instance)
-            got = kernel.run(bindings, pool=pool)
-        except Exception as exc:  # noqa: BLE001
-            return TrialResult(False, stage="strategy:adaptive",
-                               message=f"{type(exc).__name__}: {exc}")
-        if not np.allclose(got, ref, atol=atol, rtol=atol, equal_nan=True):
-            worst = (float(np.nanmax(np.abs(got - ref)))
-                     if got.size else 0.0)
-            return TrialResult(
-                False, stage="strategy:adaptive", max_abs_diff=worst,
-                message=f"adaptive selection vs edge-loop oracle: max abs "
-                        f"diff {worst:.3g} > atol {atol:g}")
     finally:
         pool.shutdown()
 

@@ -25,13 +25,10 @@ shrink with the fused oracle as the predicate.
 With ``--exec-strategy``, every SpMM config is additionally executed once
 per segment-reduction strategy (``reduceat`` / ``bucketed`` / ``parallel``)
 against the plain edge-loop oracle, plus the cross-strategy bit-parity
-contract (:func:`repro.testing.differential.run_strategy_trial`).  The
-same oracle then runs heterogeneous plans: per-chunk strategy maps
-(``strategy:mixed:<a+b>`` failures) with bit-parity to ``reduceat``
-whenever the map is order-preserving, and the adaptive cost-model
-selector.  A strategy failure pins the offending strategy -- or the whole
-per-chunk map -- into the config's options (``agg_strategy``) before
-shrinking, so the minimal repro replays with the same assignment.
+contract (:func:`repro.testing.differential.run_strategy_trial`).  A
+strategy failure pins the offending strategy into the config's options
+(``agg_strategy``) before shrinking, so the minimal repro replays with
+the same strategy.
 
 With ``--sanitize``, every config additionally runs under the dynamic
 sanitizer executor (:func:`repro.testing.differential.run_sanitize_trial`):
@@ -150,15 +147,12 @@ def main(argv=None) -> int:
                     cfg = shrink(cfg, lambda c: not run_strategy_trial(
                         c, atol=args.atol).ok)
                 else:
-                    # pin the failing strategy -- or the whole per-chunk
-                    # map for mixed failures -- so the minimal repro
+                    # pin the failing strategy so the minimal repro
                     # replays through the ordinary oracle with
-                    # agg_strategy set to the same assignment
+                    # agg_strategy set to the same strategy
                     from dataclasses import replace as _replace
-                    pin = (name.split(":", 1)[1].split("+")
-                           if name.startswith("mixed:") else name)
                     cfg = _replace(
-                        cfg, options={**cfg.options, "agg_strategy": pin})
+                        cfg, options={**cfg.options, "agg_strategy": name})
                     cfg = shrink(cfg, lambda c: not run_trial(
                         c, atol=args.atol).ok)
             else:

@@ -11,7 +11,7 @@ import pytest
 
 from repro import tensorir as T
 from repro.core.api import spmat, spmm
-from repro.graph.sparse import from_edges
+from repro.graph.sparse import CSRMatrix, from_edges
 from repro.runtime import (
     AggregateSink,
     ChunkCtx,
@@ -136,18 +136,6 @@ class TestChunkCtx:
 
 
 class TestStrategySelection:
-    @pytest.fixture(autouse=True)
-    def _no_cost_profile(self, monkeypatch, tmp_path):
-        # These tests assert the hand-tuned cold-start thresholds; a real
-        # calibrated profile on this machine must not perturb them.
-        from repro.core.cost import COST_PROFILE_ENV
-        from repro.runtime.strategies import reset_cost_model_cache
-
-        monkeypatch.setenv(COST_PROFILE_ENV, str(tmp_path / "absent.json"))
-        reset_cost_model_cache()
-        yield
-        reset_cost_model_cache()
-
     def test_auto_prefers_bucketed_on_regular_graphs(self):
         degrees = np.full(4096, 8)  # one distinct degree, plenty of work
         assert select_strategy(degrees, 16) == "bucketed"
@@ -184,9 +172,10 @@ class TestStrategySelection:
         assert strategy_from_env() == "bucketed"
         monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "auto")
         assert strategy_from_env() is None
-        monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", "nope")
-        with pytest.raises(ValueError):
-            strategy_from_env()
+        for bad in ("nope", "adaptive"):
+            monkeypatch.setenv("FEATGRAPH_AGG_STRATEGY", bad)
+            with pytest.raises(ValueError):
+                strategy_from_env()
 
     def test_resolution_order(self, monkeypatch):
         degrees = np.full(4096, 8)
@@ -208,6 +197,51 @@ class TestStrategySelection:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             make_strategy("quantum")
+
+    @pytest.mark.parametrize("req", ["adaptive", ["reduceat", "bucketed"]],
+                             ids=["adaptive", "name-list"])
+    def test_kernel_rejects_non_strategy_request(self, graph, req):
+        # one strategy per kernel: no per-chunk modes, no name lists
+        adj, *_ = graph
+        k = _copy_kernel(spmat(adj), 30, 4)
+        k.agg_strategy = req
+        with pytest.raises(ValueError, match="unknown aggregation strategy"):
+            k.run({"XV": np.zeros((30, 4), np.float32)})
+
+
+class TestHistogramCaches:
+    @staticmethod
+    def _csr():
+        deg = np.tile(np.arange(1, 9, dtype=np.int64), 32)
+        indptr = np.concatenate([[0], np.cumsum(deg)])
+        indices = np.random.default_rng(3).integers(0, 64, int(deg.sum()))
+        return CSRMatrix((len(deg), 64), indptr, indices)
+
+    def test_degree_stats_cached_by_fingerprint(self):
+        from repro.runtime.histogram import (cache_info, clear_caches,
+                                             degree_stats)
+
+        clear_caches()
+        csr = self._csr()
+        a = degree_stats(csr)
+        assert degree_stats(csr) is a
+        assert int(a.sum()) == csr.nnz
+        # same structure, different object: same cache entry
+        clone = CSRMatrix(csr.shape, csr.indptr.copy(), csr.indices.copy())
+        assert degree_stats(clone) is a
+        assert cache_info()["degree"] == 1
+
+    def test_different_edges_graph_forks_the_entry(self):
+        from repro.runtime.histogram import (cache_info, clear_caches,
+                                             degree_stats)
+
+        clear_caches()
+        csr = self._csr()
+        other = CSRMatrix(csr.shape, csr.indptr,
+                          (csr.indices + 1) % csr.shape[1])
+        degree_stats(csr)
+        degree_stats(other)
+        assert cache_info()["degree"] == 2
 
 
 class TestExecStatsAccounting:

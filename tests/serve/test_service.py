@@ -244,11 +244,17 @@ class TestShutdown:
                 f.result(0.0)
         assert svc.stats()["cancelled"] == 3
 
-    def test_submit_after_close_rejected(self, model, dataset, backend):
+    @pytest.mark.parametrize("seeds", [[1], []], ids=["one", "empty"])
+    def test_submit_after_close_rejected(self, model, dataset, backend,
+                                         seeds):
         svc = _service(model, dataset, backend)
         svc.close()
+        before = svc.stats()
         with pytest.raises(ServiceClosed):
-            svc.submit(np.array([1]))
+            svc.submit(np.array(seeds, dtype=np.int64))
+        after = svc.stats()
+        assert (after["accepted"], after["served"]) == \
+            (before["accepted"], before["served"])
 
 
 class TestFeatureCacheIntegration:
